@@ -56,43 +56,71 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
     if (bytes > mem_budget) break;
     ++batch;
   }
-  t.batch_size = std::min<i64>(batch, t.num_partitions);
-
-  const i64 nb = avg_part_nodes * t.batch_size;
-  t.batch_bytes_estimate =
-      (adj_bits_estimate(t.batch_size, nb) +
-       pad8(nb) * pad128(widest_dim) * static_cast<i64>(model.feat_bits)) /
-      8;
-
-  // Inter-batch workers: one per parallel unit until the epoch runs out of
-  // batches (a worker without a batch is idle, not parallelism), capped at
-  // the host's actual worker-thread count.
-  const i64 batches_per_epoch =
-      std::max<i64>(ceil_div(t.num_partitions, t.batch_size), 1);
-  t.inter_batch_threads = static_cast<int>(std::clamp<i64>(
-      std::min<i64>(dev.parallel_units, num_threads()), 1, batches_per_epoch));
+  // Everything derived from the batch size, recomputed whenever it changes:
+  // per-batch and whole-epoch bytes, batches per epoch, and the worker split
+  // the run will actually use (the latency objective's staffing included, so
+  // the window bound below holds for the final knobs).
+  i64 batches_per_epoch = 1;
+  const auto size_batches = [&](i64 batch_size) {
+    t.batch_size = batch_size;
+    const i64 nb = avg_part_nodes * batch_size;
+    t.batch_bytes_estimate =
+        (adj_bits_estimate(batch_size, nb) +
+         pad8(nb) * pad128(widest_dim) * static_cast<i64>(model.feat_bits)) /
+        8;
+    batches_per_epoch =
+        std::max<i64>(ceil_div(t.num_partitions, batch_size), 1);
+    t.epoch_bytes_estimate = batches_per_epoch * t.batch_bytes_estimate;
+    if (objective == TuneObjective::kLatency) {
+      // Latency profile: prepare (host-side batch construction) dominates
+      // the per-request cost — staff it ahead of compute.
+      const int workers = static_cast<int>(std::max<i64>(num_threads(), 2));
+      t.mode.prepare_threads = std::max(workers - workers / 3, 1);
+      t.inter_batch_threads = std::max(workers / 3, 1);
+      return;
+    }
+    // Inter-batch workers: one per parallel unit until the epoch runs out
+    // of batches (a worker without a batch is idle, not parallelism), capped
+    // at the host's actual worker-thread count.
+    t.inter_batch_threads = static_cast<int>(
+        std::clamp<i64>(std::min<i64>(dev.parallel_units, num_threads()), 1,
+                        batches_per_epoch));
+    // Prepare workers: host threads not already staffing the compute stage,
+    // capped — every prepare worker holds one fully-built batch while
+    // blocked on a full queue, so oversubscribing prepare inflates the
+    // in-flight window the depth bound below must cover.
+    t.mode.prepare_threads = static_cast<int>(std::clamp<i64>(
+        num_threads() - t.inter_batch_threads, 1,
+        std::min<i64>(batches_per_epoch, 8)));
+  };
+  // The peak in-flight window is ~2*depth + prepare_workers +
+  // compute_workers + 1 batches (both queues full plus one batch in each
+  // stage's hands — see pipeline.hpp).
+  const auto window_bytes = [&](i64 depth) {
+    return (2 * depth + t.mode.prepare_threads + t.inter_batch_threads + 1) *
+           t.batch_bytes_estimate;
+  };
+  size_batches(std::min<i64>(batch, t.num_partitions));
 
   // Streaming pipeline knobs. Precomputed mode holds the whole epoch
   // resident; when that estimate exceeds the precompute budget, tuned runs
-  // switch to the streaming executor and size its queues so the in-flight
-  // window (~2*depth + workers batches, see pipeline.hpp) stays inside the
-  // same budget.
-  t.epoch_bytes_estimate = batches_per_epoch * t.batch_bytes_estimate;
+  // switch to the streaming executor and size the window to the same
+  // budget: the batch shrinks until the minimal (depth-1) window fits — the
+  // batch loop above only bounded ONE batch, and the worker count multiplies
+  // it — then the queue depth is solved from what the budget leaves.
   t.mode.epoch = t.epoch_bytes_estimate > mem_budget
                      ? RunMode::Epoch::kStreaming
                      : RunMode::Epoch::kPrecomputed;
+  if (t.mode.streaming()) {
+    while (t.batch_size > 1 && window_bytes(1) > mem_budget) {
+      size_batches(t.batch_size - 1);
+    }
+    QGTC_CHECK(window_bytes(1) <= mem_budget,
+               "device memory budget cannot hold the streaming window even "
+               "with one partition per batch");
+  }
   const i64 batches_in_budget =
       mem_budget / std::max<i64>(t.batch_bytes_estimate, 1);
-  // Prepare workers: host threads not already staffing the compute stage,
-  // capped — every prepare worker holds one fully-built batch while blocked
-  // on a full queue, so oversubscribing prepare inflates the in-flight
-  // window the depth bound below must cover.
-  t.mode.prepare_threads = static_cast<int>(std::clamp<i64>(
-      num_threads() - t.inter_batch_threads, 1,
-      std::min<i64>(batches_per_epoch, 8)));
-  // Queue depth: the peak in-flight window is ~2*depth + prepare_workers +
-  // compute_workers + 1 batches (both queues full plus one batch in each
-  // stage's hands — see pipeline.hpp). Solve that for the budget.
   const i64 depth = (batches_in_budget - t.mode.prepare_threads -
                      t.inter_batch_threads - 1) /
                     2;
@@ -102,14 +130,10 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
   if (objective == TuneObjective::kLatency) {
     // Latency profile: the serving critical path is submit -> coalesce ->
     // prepare -> ship -> compute for ONE micro-batch, so depth beyond 1 only
-    // adds a queue for a request to age in, and prepare (host-side batch
-    // construction) dominates the per-request cost — staff it ahead of
-    // compute. Micro-batches are sized well below the throughput batch so a
-    // request never waits on a huge co-batch.
+    // adds a queue for a request to age in (the prepare-heavy worker split
+    // was set with the batch size above). Micro-batches are sized well below
+    // the throughput batch so a request never waits on a huge co-batch.
     t.mode.pipeline_depth = 1;
-    const int workers = static_cast<int>(std::max<i64>(num_threads(), 2));
-    t.mode.prepare_threads = std::max(workers - workers / 3, 1);
-    t.inter_batch_threads = std::max(workers / 3, 1);
     t.serving.prepare_workers = t.mode.prepare_threads;
     t.serving.compute_workers = t.inter_batch_threads;
     t.serving.queue_depth = 1;
@@ -143,10 +167,7 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
 
   // Prepared-batch cache budget (cross-epoch reuse). Derived AFTER the
   // objective override so the footprint reflects the knobs the run will use.
-  t.streaming_footprint_estimate =
-      (2 * static_cast<i64>(t.mode.pipeline_depth) + t.mode.prepare_threads +
-       t.inter_batch_threads + 1) *
-      t.batch_bytes_estimate;
+  t.streaming_footprint_estimate = window_bytes(t.mode.pipeline_depth);
   if (t.mode.streaming()) {
     const i64 leftover = mem_budget - t.streaming_footprint_estimate;
     // A budget that cannot hold one batch degrades to pass-through — disable

@@ -38,6 +38,12 @@ enum class TuneObjective {
 
 struct TunedConfig {
   i64 num_partitions = 0;
+  /// Partitions per batch: grown until one packed batch would fill the
+  /// memory-budget slice (memory_bytes / 4). A streaming profile then shrinks
+  /// it until the minimal in-flight window (depth 1, see
+  /// streaming_footprint_estimate) fits the slice with the worker counts the
+  /// run will use; a profile whose window cannot fit even with one partition
+  /// per batch throws std::invalid_argument.
   i64 batch_size = 0;
   /// Estimated per-batch device bytes (packed adjacency + activations).
   i64 batch_bytes_estimate = 0;
@@ -70,7 +76,10 @@ struct TunedConfig {
   /// would hold resident).
   i64 epoch_bytes_estimate = 0;
   /// Estimated resident bytes of the streaming in-flight window
-  /// (~(2*depth + prepare + compute + 1) batches — see pipeline.hpp).
+  /// (~(2*depth + prepare + compute + 1) batches — see pipeline.hpp). For a
+  /// streaming profile it never exceeds the memory-budget slice
+  /// (memory_bytes / 4) at any host thread count: the batch shrinks first,
+  /// then the depth is solved from what the slice leaves.
   i64 streaming_footprint_estimate = 0;
   /// Prepared-batch cache budget (EngineConfig::cache_budget_bytes): the
   /// memory-budget slice left after the streaming footprint, capped at the
@@ -94,6 +103,8 @@ struct TunedConfig {
 /// Deterministically derives engine knobs from dataset shape + profile.
 /// `sparse_adj` selects the adjacency layout the tuned run will use — batch
 /// sizing follows its memory model (dense pays the full nb x nb plane).
+/// Throws std::invalid_argument for a malformed profile, and for a streaming
+/// profile too small to hold the minimal window of one-partition batches.
 TunedConfig generate_runtime_config(const DatasetSpec& spec,
                                     const gnn::GnnConfig& model,
                                     const DeviceProfile& dev = {},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/dgl_fp32.hpp"
 #include "common/rng.hpp"
@@ -38,27 +39,40 @@ MatrixF spmm_sym(const CsrGraph& g, const std::vector<float>& norm,
   return y;
 }
 
-/// C = A^T * B (used for weight gradients).
+/// C = A^T * B (used for weight gradients). The reduction runs over A's
+/// rows, cut into blocks whose size depends only on the row count: each
+/// block's partial product is summed serially, then the partials are added
+/// in block order. Float addition is not associative, so a split by thread
+/// would make the trained weights depend on the thread count.
 MatrixF gemm_tn(const MatrixF& a, const MatrixF& b) {
-  MatrixF c(a.cols(), b.cols(), 0.0f);
+  constexpr i64 kMinBlockRows = 64;  // amortise a partial's zeroing + merge
+  constexpr i64 kMaxBlocks = 64;     // bound the partials' memory
+  const i64 m = a.cols();
   const i64 n = b.cols();
-#pragma omp parallel
-  {
-    MatrixF local(a.cols(), n, 0.0f);
-#pragma omp for schedule(static) nowait
-    for (i64 k = 0; k < a.rows(); ++k) {
+  const i64 blocks =
+      std::clamp<i64>(ceil_div(a.rows(), kMinBlockRows), 1, kMaxBlocks);
+  const i64 block_rows = ceil_div(a.rows(), blocks);
+  std::vector<MatrixF> partials(static_cast<std::size_t>(blocks));
+#pragma omp parallel for schedule(static)
+  for (i64 blk = 0; blk < blocks; ++blk) {
+    MatrixF local(m, n, 0.0f);
+    const i64 end = std::min(a.rows(), (blk + 1) * block_rows);
+    for (i64 k = blk * block_rows; k < end; ++k) {
       const float* arow = a.row(k).data();
       const float* brow = b.row(k).data();
-      for (i64 i = 0; i < a.cols(); ++i) {
+      for (i64 i = 0; i < m; ++i) {
         const float aki = arow[i];
         if (aki == 0.0f) continue;
         float* crow = local.row(i).data();
         for (i64 j = 0; j < n; ++j) crow[j] += aki * brow[j];
       }
     }
-#pragma omp critical
-    for (i64 i = 0; i < c.size(); ++i) c.data()[i] += local.data()[i];
+    partials[static_cast<std::size_t>(blk)] = std::move(local);
   }
+  MatrixF c(m, n, 0.0f);
+  parallel_for(0, c.size(), [&](i64 e) {
+    for (const MatrixF& part : partials) c.data()[e] += part.data()[e];
+  });
   return c;
 }
 

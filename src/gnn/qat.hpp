@@ -25,7 +25,9 @@ struct QatResult {
   std::vector<LayerWeights> weights;  // trained fp32 master weights
 };
 
-/// Trains and evaluates; deterministic in cfg.seed.
+/// Trains and evaluates; deterministic in cfg.seed alone. The trained
+/// weights and accuracies are bit-identical at any OpenMP thread count: every
+/// reduction sums in an order fixed by the data shape, not by the threads.
 QatResult train_qat_gcn(const Dataset& ds, const QatConfig& cfg);
 
 /// Fake-quantize a matrix at `bits` (identity when bits >= 32): quantize per

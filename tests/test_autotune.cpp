@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/autotune.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
 namespace {
@@ -194,6 +195,66 @@ TEST(Autotune, ApplyCopiesCacheBudget) {
   EngineConfig cfg;
   apply(t, cfg);
   EXPECT_EQ(cfg.cache_budget_bytes, t.cache_budget_bytes);
+}
+
+/// Restores the process-wide OpenMP thread cap on scope exit (also when an
+/// ASSERT returns early).
+struct ThreadCapGuard {
+  int saved = num_threads();
+  ~ThreadCapGuard() { set_num_threads(saved); }
+};
+
+TEST(Autotune, StreamingWindowFitsBudgetAtAnyThreadCount) {
+  // The in-flight window is (2*depth + prepare + compute + 1) batches and
+  // the worker counts follow the host's thread cap, so a batch sized to fill
+  // the budget on its own overshoots once workers multiply it. The tuner
+  // must shrink the batch instead: footprint + cache stay inside the budget
+  // slice at every thread count, for both objectives.
+  const DatasetSpec spec = table1_spec("ogbn-arxiv");
+  const ThreadCapGuard guard;
+  for (const int threads : {1, 2, 3, 4, 8, 16}) {
+    set_num_threads(threads);
+    for (const i64 mb : {8, 64}) {
+      DeviceProfile dev;
+      dev.memory_bytes = mb * 1024 * 1024;
+      for (const TuneObjective objective :
+           {TuneObjective::kThroughput, TuneObjective::kLatency}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, " << mb << " MB, "
+                     << (objective == TuneObjective::kLatency ? "latency"
+                                                              : "throughput"));
+        const TunedConfig t = generate_runtime_config(
+            spec, model_for(spec), dev, /*sparse_adj=*/true, objective);
+        ASSERT_TRUE(t.mode.streaming());
+        EXPECT_GE(t.batch_size, 1);
+        EXPECT_GE(t.mode.pipeline_depth, 1);
+        EXPECT_GT(t.streaming_footprint_estimate, 0);
+        EXPECT_LE(t.streaming_footprint_estimate + t.cache_budget_bytes,
+                  dev.memory_bytes / 4);
+      }
+    }
+  }
+}
+
+TEST(Autotune, UnfittableStreamingProfileThrows) {
+  // One ogbn-arxiv partition (~160 nodes) packs to ~15 KB: a 160 x 256-bit
+  // adjacency block plus 160 x 128 4-bit activations. A 64 KB device leaves
+  // a 16 KB slice, too small for four one-partition batches, while the
+  // smallest window is 2*1 + 1 + 1 + 1 = 5 batches: no batch size fits, and
+  // the profile is reported infeasible rather than tuned over budget.
+  const DatasetSpec spec = table1_spec("ogbn-arxiv");
+  DeviceProfile dev;
+  dev.memory_bytes = 64 * 1024;
+  const ThreadCapGuard guard;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const TuneObjective objective :
+         {TuneObjective::kThroughput, TuneObjective::kLatency}) {
+      EXPECT_THROW(generate_runtime_config(spec, model_for(spec), dev,
+                                           /*sparse_adj=*/true, objective),
+                   std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "gnn/qat.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::gnn {
 namespace {
@@ -57,6 +58,28 @@ TEST(Qat, Deterministic) {
   const QatResult b = train_qat_gcn(ds, cfg);
   EXPECT_FLOAT_EQ(a.test_acc, b.test_acc);
   EXPECT_FLOAT_EQ(max_abs_diff(a.weights[0].w, b.weights[0].w), 0.0f);
+}
+
+TEST(Qat, WeightsIndependentOfThreadCount) {
+  // The weight-gradient reduction sums fixed row blocks in block order, so
+  // training gives the same bits whatever the OpenMP thread cap.
+  const Dataset ds = small_dataset();
+  QatConfig cfg;
+  cfg.bits = 8;
+  cfg.epochs = 5;
+  const int saved = num_threads();
+  set_num_threads(1);
+  const QatResult serial = train_qat_gcn(ds, cfg);
+  for (const int threads : {2, 3, 4}) {
+    set_num_threads(threads);
+    const QatResult par = train_qat_gcn(ds, cfg);
+    EXPECT_EQ(par.test_acc, serial.test_acc) << threads << " threads";
+    EXPECT_EQ(max_abs_diff(par.weights[0].w, serial.weights[0].w), 0.0f)
+        << threads << " threads";
+    EXPECT_EQ(max_abs_diff(par.weights[1].w, serial.weights[1].w), 0.0f)
+        << threads << " threads";
+  }
+  set_num_threads(saved);
 }
 
 TEST(Qat, AccuracyTrendAcrossBits) {
